@@ -1,6 +1,6 @@
 //! Graph-construction scaling: dependency graph, order-of-execution graph
-//! (with transitive closure) and sharing graph (with all-pairs kinship) on
-//! programs up to SCALE-LES size.
+//! (with transitive closure) and sharing graph (adjacency and components)
+//! on programs up to SCALE-LES size.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use kfuse_core::depgraph::DependencyGraph;

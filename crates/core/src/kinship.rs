@@ -10,53 +10,56 @@ use crate::depgraph::DependencyGraph;
 use kfuse_ir::KernelId;
 
 /// Undirected graph over kernels: adjacency = "shares at least one array".
+///
+/// Holds only what constraint (1.5) and the search operators read —
+/// adjacency rows and component labels — in O(n + edges) memory. The
+/// exact degree of kinship is computed per query by [`ShareGraph::kinship`].
 #[derive(Debug, Clone)]
 pub struct ShareGraph {
-    n: usize,
-    adj: Vec<Vec<u32>>,
+    /// CSR row offsets into [`Self::adj`], one row per kernel (+1 sentinel).
+    adj_start: Vec<u32>,
+    /// Flattened adjacency rows, each sorted ascending.
+    adj: Vec<u32>,
     /// Connected-component label per kernel.
     comp: Vec<u32>,
-    /// All-pairs shortest-path distances (u8::MAX = unreachable);
-    /// `dist[u*n+v]`. Empty above [`ShareGraph::DENSE_DIST_LIMIT`] kernels,
-    /// where [`ShareGraph::kinship`] runs a per-query BFS instead.
-    dist: Vec<u8>,
 }
 
 impl ShareGraph {
-    /// Largest kernel count for which the n×n distance matrix is
-    /// precomputed. Beyond this the matrix would cost O(n²) bytes (100 MB
-    /// at 10k kernels) while the planner only needs adjacency and
-    /// components; exact kinship queries fall back to an on-demand BFS.
-    pub const DENSE_DIST_LIMIT: usize = 2048;
     /// Build from the dependency graph of an `n_kernels`-kernel program.
     pub fn build(dep: &DependencyGraph, n_kernels: usize) -> Self {
         let n = n_kernels;
-        let mut adj: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for a in 0..dep.classes.len() {
-            let sharing = dep.sharing_set(kfuse_ir::ArrayId(a as u32));
-            for i in 0..sharing.len() {
-                for j in i + 1..sharing.len() {
-                    adj[sharing[i].index()].push(sharing[j].0);
-                    adj[sharing[j].index()].push(sharing[i].0);
+        // Row `u` gathers the sharing sets of every array `u` touches;
+        // `seen[v] == u` drops repeats, so each edge is stored once per end.
+        let mut adj_start = Vec::with_capacity(n + 1);
+        let mut adj: Vec<u32> = Vec::new();
+        let mut seen = vec![u32::MAX; n];
+        adj_start.push(0u32);
+        for u in 0..n {
+            let row = adj.len();
+            for &a in dep.kernel_reads[u].iter().chain(&dep.kernel_writes[u]) {
+                for &v in dep.sharing_set(a) {
+                    if v.index() != u && seen[v.index()] != u as u32 {
+                        seen[v.index()] = u as u32;
+                        adj.push(v.0);
+                    }
                 }
             }
-        }
-        for l in &mut adj {
-            l.sort_unstable();
-            l.dedup();
+            adj[row..].sort_unstable();
+            adj_start.push(adj.len() as u32);
         }
 
-        // Components + BFS all-pairs distances (n ≤ a few hundred).
+        // Components by depth-first flood fill.
         let mut comp = vec![u32::MAX; n];
         let mut next_comp = 0u32;
+        let mut stack = Vec::new();
         for s in 0..n {
             if comp[s] != u32::MAX {
                 continue;
             }
-            let mut stack = vec![s];
             comp[s] = next_comp;
+            stack.push(s);
             while let Some(u) = stack.pop() {
-                for &v in &adj[u] {
+                for &v in &adj[adj_start[u] as usize..adj_start[u + 1] as usize] {
                     let v = v as usize;
                     if comp[v] == u32::MAX {
                         comp[v] = next_comp;
@@ -67,57 +70,37 @@ impl ShareGraph {
             next_comp += 1;
         }
 
-        let mut dist = Vec::new();
-        if n <= Self::DENSE_DIST_LIMIT {
-            dist = vec![u8::MAX; n * n];
-            let mut queue = std::collections::VecDeque::new();
-            for s in 0..n {
-                dist[s * n + s] = 0;
-                queue.clear();
-                queue.push_back(s);
-                while let Some(u) = queue.pop_front() {
-                    let du = dist[s * n + u];
-                    for &v in &adj[u] {
-                        let v = v as usize;
-                        if dist[s * n + v] == u8::MAX {
-                            dist[s * n + v] = du.saturating_add(1);
-                            queue.push_back(v);
-                        }
-                    }
-                }
-            }
+        ShareGraph {
+            adj_start,
+            adj,
+            comp,
         }
-
-        ShareGraph { n, adj, comp, dist }
     }
 
-    /// Kernels directly sharing an array with `k`.
+    /// Kernels directly sharing an array with `k`, ascending.
     pub fn neighbors(&self, k: KernelId) -> &[u32] {
-        &self.adj[k.index()]
+        let i = k.index();
+        &self.adj[self.adj_start[i] as usize..self.adj_start[i + 1] as usize]
     }
 
     /// Degree of kinship `(a, b)°`: chain length minus one, `None` if no
     /// chain exists. `Some(0)` for a kernel with itself.
     ///
-    /// O(1) from the dense matrix up to [`ShareGraph::DENSE_DIST_LIMIT`]
-    /// kernels; a single-source BFS per query beyond it.
+    /// A breadth-first search from `a`, stopped when it reaches `b`; the
+    /// planner itself only needs [`ShareGraph::group_connected`].
     pub fn kinship(&self, a: KernelId, b: KernelId) -> Option<u8> {
-        if !self.dist.is_empty() {
-            let d = self.dist[a.index() * self.n + b.index()];
-            return (d != u8::MAX).then_some(d);
-        }
         if self.comp[a.index()] != self.comp[b.index()] {
             return None;
         }
         let (src, dst) = (a.index(), b.index());
-        let mut dist = vec![u8::MAX; self.n];
+        let mut dist = vec![u8::MAX; self.comp.len()];
         dist[src] = 0;
         let mut queue = std::collections::VecDeque::from([src]);
         while let Some(u) = queue.pop_front() {
             if u == dst {
                 return Some(dist[u]);
             }
-            for &v in &self.adj[u] {
+            for &v in self.neighbors(KernelId(u as u32)) {
                 let v = v as usize;
                 if dist[v] == u8::MAX {
                     dist[v] = dist[u].saturating_add(1);
@@ -225,23 +208,5 @@ mod tests {
     fn self_kinship_is_zero() {
         let g = graph();
         assert_eq!(g.kinship(KernelId(0), KernelId(0)), Some(0));
-    }
-
-    #[test]
-    fn bfs_fallback_matches_dense_matrix() {
-        // Simulate the large-program regime (n > DENSE_DIST_LIMIT) by
-        // clearing the dense matrix: every query must agree with it.
-        let dense = graph();
-        let mut sparse = dense.clone();
-        sparse.dist.clear();
-        for a in 0..5u32 {
-            for b in 0..5u32 {
-                assert_eq!(
-                    sparse.kinship(KernelId(a), KernelId(b)),
-                    dense.kinship(KernelId(a), KernelId(b)),
-                    "kinship({a},{b}) diverged in BFS fallback"
-                );
-            }
-        }
     }
 }

@@ -1,8 +1,9 @@
 //! Zero-allocation guarantees of the steady-state evaluation paths.
 //!
-//! A counting global allocator wraps `System`; after warming the synthesis
-//! scratch once, re-evaluating distinct groups through
-//! [`Evaluator::evaluate_uncached`] (structure checks + SoA synthesis +
+//! A counting global allocator wraps `System`. It counts per thread, so
+//! each test measures only its own work while the harness runs the tests
+//! on parallel threads. After warming the synthesis scratch once,
+//! re-evaluating distinct groups through [`Evaluator::evaluate_uncached`] (structure checks + SoA synthesis +
 //! view projection + profitability) must not allocate at all. Memo
 //! insertion (the boxed key) is deliberately outside this unit — it is
 //! amortized storage, not per-evaluation work.
@@ -21,22 +22,32 @@ use kfuse_ir::KernelId;
 use kfuse_obs::ObsHandle;
 use kfuse_search::Evaluator;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by the current thread. `const`-initialised and
+    /// without a destructor, so touching it never allocates itself.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator also runs while a thread tears down its
+    // thread-locals.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
         System.dealloc(ptr, layout)
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -44,8 +55,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// Allocations made so far by the calling thread.
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::Relaxed)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Distinct member-sorted groups spanning singletons up to 32 members

@@ -265,7 +265,7 @@ fn drain(shared: &Shared) {
 
 fn worker_loop(shared: &Arc<Shared>, worker: usize) {
     loop {
-        let (job, depth) = {
+        let (mut job, depth) = {
             let mut q = lock(&shared.queue);
             loop {
                 if let Some(job) = q.jobs.pop_front() {
@@ -302,7 +302,7 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
             (line, Some(ErrorCode::BudgetExceeded))
         } else {
             let t0 = Instant::now();
-            let result = process(shared, &job, obs);
+            let result = process(shared, &mut job, obs);
             obs.record_span(
                 SpanId::WorkerSolve,
                 worker as u32 + 1,
@@ -338,13 +338,14 @@ fn worker_loop(shared: &Arc<Shared>, worker: usize) {
 }
 
 /// Resolve the request's program: inline `program` JSON or a built-in
-/// `example` name, exactly one of the two.
-fn resolve_program(req: &Request) -> Result<Program, String> {
-    match (&req.program, &req.example) {
+/// `example` name, exactly one of the two. The inline `program` tree is
+/// moved out of the request and decoded in place, never copied.
+fn resolve_program(req: &mut Request) -> Result<Program, String> {
+    match (req.program.take(), &req.example) {
         (Some(_), Some(_)) => Err("give either `program` or `example`, not both".into()),
         (None, None) => Err("a `solve`/`verify` request needs `program` or `example`".into()),
         (Some(v), None) => {
-            let p: Program = serde_json::from_value(v.clone())
+            let p: Program = serde_json::from_value(v)
                 .map_err(|e| format!("`program` does not parse as a kfuse program: {e}"))?;
             p.validate()
                 .map_err(|e| format!("program fails validation: {e}"))?;
@@ -362,7 +363,7 @@ fn resolve_program(req: &Request) -> Result<Program, String> {
 /// on the Maxwell part.
 fn resolve_ctx(
     shared: &Shared,
-    req: &Request,
+    req: &mut Request,
 ) -> Result<(GpuSpec, PlanContext), (ErrorCode, String)> {
     let gpu_name = req.gpu.as_deref().unwrap_or(&shared.cfg.gpu);
     let gpu = GpuSpec::by_name(gpu_name).ok_or_else(|| {
@@ -399,12 +400,14 @@ fn cache_for(shared: &Shared, gpu: &str, precision: &str) -> Option<Arc<Mutex<Pl
 
 /// Process one dequeued `solve`/`verify` job. Returns the response line
 /// and, for rejections, the error code (for counters and the `request`
-/// span).
-fn process(shared: &Shared, job: &Job, obs: ObsHandle<'_>) -> (String, Option<ErrorCode>) {
-    let id = job.req.id.as_deref();
-    let (gpu, ctx) = match resolve_ctx(shared, &job.req) {
+/// span). Takes the job's inline `program` out of its request.
+fn process(shared: &Shared, job: &mut Job, obs: ObsHandle<'_>) -> (String, Option<ErrorCode>) {
+    let (gpu, ctx) = match resolve_ctx(shared, &mut job.req) {
         Ok(v) => v,
-        Err((code, msg)) => return (error_response(id, code, &msg, vec![]), Some(code)),
+        Err((code, msg)) => {
+            let id = job.req.id.as_deref();
+            return (error_response(id, code, &msg, vec![]), Some(code));
+        }
     };
     match job.req.op.as_str() {
         "solve" => solve_job(shared, job, obs, &gpu, &ctx),

@@ -237,3 +237,56 @@ fn stats_reports_request_counters_and_cache_hits() {
     daemon.shutdown();
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn hostile_nesting_is_malformed_not_a_crash() {
+    // 400 KB of `[` on one line used to overflow the reader's stack and
+    // abort the whole daemon. The parser now refuses it with an error,
+    // which the daemon answers like any other unparseable line.
+    let daemon = Daemon::start(ServeConfig::default());
+    let c = daemon.client();
+    let r = c.request(&"[".repeat(400 * 1024));
+    assert!(r.contains(r#""code":"malformed_request""#), "{r}");
+    let r = c.request(r#"{"id":"p","op":"ping"}"#);
+    assert!(r.contains(r#""ok":true"#), "daemon still answers: {r}");
+    daemon.shutdown();
+}
+
+#[test]
+fn deep_but_legitimate_program_still_solves() {
+    // A 150-term left-deep sum nests about 300 JSON levels (two per
+    // `Bin` node), well inside the parser's limit.
+    use kfuse_ir::builder::ProgramBuilder;
+    use kfuse_ir::Expr;
+    let mut pb = ProgramBuilder::new("deep_sum", [64, 16, 4]);
+    let [a, b, c, s, t] = pb.arrays(["A", "B", "C", "S", "T"]);
+    let inputs = [a, b, c];
+    let sum = (1..150).fold(Expr::at(a), |acc, i| acc + Expr::at(inputs[i % 3]));
+    pb.kernel("sum").write(s, sum).build();
+    pb.kernel("scale")
+        .write(t, Expr::at(s) * Expr::lit(0.5))
+        .build();
+    let program = serde_json::to_string(&pb.build()).unwrap();
+    let depth = program
+        .bytes()
+        .scan(0u32, |d, b| {
+            match b {
+                b'{' | b'[' => *d += 1,
+                b'}' | b']' => *d -= 1,
+                _ => {}
+            }
+            Some(*d)
+        })
+        .max()
+        .unwrap();
+    assert!((300..512).contains(&depth), "nesting depth {depth}");
+
+    let daemon = Daemon::start(ServeConfig::default());
+    let c = daemon.client();
+    let r = c.request(&format!(
+        r#"{{"id":"deep","op":"solve","program":{program}}}"#
+    ));
+    assert!(r.contains(r#""ok":true"#), "{r}");
+    assert!(r.contains(r#""kernels":2"#), "{r}");
+    daemon.shutdown();
+}

@@ -163,6 +163,12 @@ cargo build --release --bin kfuse
 
 echo
 echo "================================================================"
+echo "== test: every test target of the workspace (crates and vendor too)"
+echo "================================================================"
+cargo test --workspace --release -q
+
+echo
+echo "================================================================"
 echo "== verify: independent plan verifier + CUDA lint + differential"
 echo "================================================================"
 # Every built-in workload suite must pass the static verifier (identity

@@ -326,3 +326,67 @@ fn pinned_rk3_infeasible_plan_stays_infeasible() {
         .plan(&plan)
         .is_infinite());
 }
+
+/// All-pairs kinship by Floyd–Warshall over "shares an array", computed
+/// straight from the program's reads and writes (`u32::MAX`: no chain).
+fn floyd_warshall_kinship(p: &Program) -> Vec<Vec<u32>> {
+    let n = p.kernels.len();
+    let touched: Vec<std::collections::BTreeSet<_>> = p
+        .kernels
+        .iter()
+        .map(|k| k.reads().into_keys().chain(k.writes()).collect())
+        .collect();
+    let mut d = vec![vec![u32::MAX; n]; n];
+    for i in 0..n {
+        d[i][i] = 0;
+        for j in 0..n {
+            if i != j && !touched[i].is_disjoint(&touched[j]) {
+                d[i][j] = 1;
+            }
+        }
+    }
+    for m in 0..n {
+        for i in 0..n {
+            for j in 0..n {
+                let via = d[i][m].saturating_add(d[m][j]);
+                if via < d[i][j] {
+                    d[i][j] = via;
+                }
+            }
+        }
+    }
+    d
+}
+
+#[test]
+fn kinship_matches_floyd_warshall_on_builtins() {
+    for name in ["fig3", "homme", "synth60"] {
+        let (relaxed, ctx) = pipeline::prepare(
+            &kfuse_workloads::by_name(name).unwrap(),
+            &GpuSpec::k20x(),
+            FpPrecision::Double,
+        );
+        let oracle = floyd_warshall_kinship(&relaxed);
+        for (a, row) in oracle.iter().enumerate() {
+            let ka = KernelId(a as u32);
+            let adjacent: Vec<u32> = (0..row.len() as u32)
+                .filter(|&b| row[b as usize] == 1)
+                .collect();
+            assert_eq!(
+                ctx.share.neighbors(ka),
+                adjacent,
+                "{name}: neighbors of {a}"
+            );
+            for (b, &d) in row.iter().enumerate() {
+                let kb = KernelId(b as u32);
+                let want = (d != u32::MAX).then_some(d as u8);
+                assert_eq!(ctx.share.kinship(ka, kb), want, "{name}: kinship({a},{b})");
+                assert_eq!(
+                    ctx.share.group_connected([ka, kb]),
+                    want.is_some(),
+                    "{name}: constraint 1.5 on ({a},{b})"
+                );
+            }
+        }
+    }
+}

@@ -78,3 +78,86 @@ fn gpu_spec_roundtrips() {
         assert_eq!(gpu, back);
     }
 }
+
+/// Parse one JSON string literal.
+fn decode(text: &str) -> serde_json::Result<String> {
+    serde_json::from_str(text)
+}
+
+#[test]
+fn strings_roundtrip_utf8_escapes_and_control_bytes() {
+    let samples = [
+        "",
+        "plain ascii",
+        "2-byte é ü ß, 3-byte 中文 €, 4-byte 😀 🦀",
+        "escapes \" \\ / \n \t \r \u{8} \u{c} side by side",
+        "control bytes \u{0}\u{1}\u{1f}\u{7f} between text",
+        "é\"中\\😀\n€",
+        "\u{10ffff}\u{80}\u{7ff}\u{800}\u{ffff}\u{10000}",
+    ];
+    for s in samples {
+        let text = serde_json::to_string(&s).unwrap();
+        assert_eq!(decode(&text).unwrap(), s, "via {text}");
+    }
+    // Every escape form the reader accepts, written by hand.
+    assert_eq!(
+        decode(r#""a\"b\\c\/d\ne\tf\rg\bh\fi""#).unwrap(),
+        "a\"b\\c/d\ne\tf\rg\u{8}h\u{c}i"
+    );
+    // `\u` escapes directly next to multi-byte characters.
+    assert_eq!(
+        decode(r#""\u4e2d\u00e9😀中\u0041é\u20ac""#).unwrap(),
+        "中é😀中Aé€"
+    );
+    assert_eq!(decode(r#""é\u00e9""#).unwrap(), "éé");
+    // Raw control bytes inside a literal are kept as they are.
+    assert_eq!(decode("\"a\u{1}b\tc\"").unwrap(), "a\u{1}b\tc");
+}
+
+#[test]
+fn broken_strings_are_errors() {
+    for text in [r#""abc"#, r#""中文"#, "\""] {
+        let e = decode(text).unwrap_err().to_string();
+        assert!(e.contains("unterminated string"), "{text}: {e}");
+    }
+    for text in [r#""\u"#, r#""\u12"#, r#""ab\u00e"#] {
+        let e = decode(text).unwrap_err().to_string();
+        assert!(e.contains("truncated \\u escape"), "{text}: {e}");
+    }
+    assert!(decode(r#""abc\"#).is_err());
+    assert!(decode(r#""\uzzzz""#).is_err());
+    assert!(decode(r#""\q""#).is_err());
+    assert!(decode(r#""\ud800""#).is_err());
+}
+
+#[test]
+fn long_string_literal_decodes_in_linear_time() {
+    // 4 MB of mixed ASCII, multi-byte text and escapes in one literal.
+    let unit = "kernel_fusion é中😀 \\n \\\" \\u00e9 ";
+    let reps = 4 * 1024 * 1024 / unit.len();
+    let text = format!("\"{}\"", unit.repeat(reps));
+    assert!(text.len() >= 4_000_000);
+    let t0 = std::time::Instant::now();
+    let s = decode(&text).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(s, "kernel_fusion é中😀 \n \" é ".repeat(reps));
+    assert!(
+        took < std::time::Duration::from_secs(2),
+        "4 MB literal took {took:?}"
+    );
+}
+
+#[test]
+fn nesting_depth_is_limited_not_a_stack_overflow() {
+    let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    assert!(serde_json::from_str::<serde_json::Value>(&nested(512)).is_ok());
+    let e = serde_json::from_str::<serde_json::Value>(&nested(513)).unwrap_err();
+    assert!(e.to_string().contains("nesting deeper than 512"), "{e}");
+    let objects = format!("{}1{}", r#"{"a":"#.repeat(600), "}".repeat(600));
+    assert!(serde_json::from_str::<serde_json::Value>(&objects).is_err());
+    // A 400 KB run of `[` is refused long before it could exhaust a stack.
+    assert!(serde_json::from_str::<serde_json::Value>(&"[".repeat(400 * 1024)).is_err());
+    // Closing a level frees it: many sibling containers at depth 2 are fine.
+    let siblings = format!("[{}[]]", "[[]],".repeat(1000));
+    assert!(serde_json::from_str::<serde_json::Value>(&siblings).is_ok());
+}
