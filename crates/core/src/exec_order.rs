@@ -18,10 +18,13 @@ use kfuse_ir::{KernelId, Program};
 #[derive(Debug, Clone)]
 pub struct ExecOrderGraph {
     n: usize,
-    /// Direct predecessor lists (edges u → v stored at `preds[v]`).
-    pub preds: Vec<Vec<KernelId>>,
     /// Direct successor lists.
     pub succs: Vec<Vec<KernelId>>,
+    /// The subset of `succs` whose endpoints share a host-sync epoch.
+    local_succs: Vec<Vec<KernelId>>,
+    /// Direct predecessors within the same host-sync epoch (edges
+    /// u → v stored at `local_preds[v]`).
+    local_preds: Vec<Vec<KernelId>>,
     /// `reach[u]` = all v with a path u → v (excluding u).
     reach: Vec<BitSet>,
 }
@@ -104,19 +107,24 @@ impl ExecOrderGraph {
             reach[u] = r;
         }
 
-        let mut preds: Vec<Vec<KernelId>> = vec![Vec::new(); n];
         let mut succs: Vec<Vec<KernelId>> = vec![Vec::new(); n];
+        let mut local_preds: Vec<Vec<KernelId>> = vec![Vec::new(); n];
+        let mut local_succs: Vec<Vec<KernelId>> = vec![Vec::new(); n];
         for (u, es) in edges.iter().enumerate() {
             for &v in es {
                 succs[u].push(KernelId(v as u32));
-                preds[v].push(KernelId(u as u32));
+                if epochs[u] == epochs[v] {
+                    local_succs[u].push(KernelId(v as u32));
+                    local_preds[v].push(KernelId(u as u32));
+                }
             }
         }
 
         ExecOrderGraph {
             n,
-            preds,
             succs,
+            local_succs,
+            local_preds,
             reach,
         }
     }
@@ -141,18 +149,16 @@ impl ExecOrderGraph {
         &self.succs[k.index()]
     }
 
-    /// Direct predecessors of `k` (kernels with a hazard edge `u → k`).
-    pub fn preds_of(&self, k: KernelId) -> &[KernelId] {
-        &self.preds[k.index()]
+    /// Direct predecessors of `k` in its own host-sync epoch.
+    pub fn local_preds_of(&self, k: KernelId) -> &[KernelId] {
+        &self.local_preds[k.index()]
     }
 
     /// Summarize the inter-group edges leaving one group: collect into
     /// `out` the distinct groups (per the `group_of` map) that the direct
     /// successors of `members` fall into, excluding the group `own`
     /// itself, sorted ascending. This is the per-group building block of
-    /// the plan-condensation DAG; the plan evaluator's incremental
-    /// condensation cache rebuilds exactly these summaries for dirty
-    /// groups only.
+    /// the plan-condensation DAG.
     pub fn group_succs_into(
         &self,
         members: &[KernelId],
@@ -160,18 +166,23 @@ impl ExecOrderGraph {
         own: u32,
         out: &mut Vec<u32>,
     ) {
-        out.clear();
-        for &k in members {
-            for &s in &self.succs[k.index()] {
-                let g = group_of[s.index()];
-                debug_assert_ne!(g, u32::MAX, "group map does not cover kernel {s}");
-                if g != own {
-                    out.push(g);
-                }
-            }
-        }
-        out.sort_unstable();
-        out.dedup();
+        summarize_succs(&self.succs, members, group_of, own, out);
+    }
+
+    /// [`Self::group_succs_into`] over the epoch-local edges only. Host
+    /// syncs order every epoch after the previous one, so every edge
+    /// points forward in epoch order; once no group spans two epochs,
+    /// every condensation cycle lies inside one epoch and these summaries
+    /// decide acyclicity alone. The search's incremental condensation
+    /// cache rebuilds exactly these summaries for dirty groups only.
+    pub fn group_local_succs_into(
+        &self,
+        members: &[KernelId],
+        group_of: &[u32],
+        own: u32,
+        out: &mut Vec<u32>,
+    ) {
+        summarize_succs(&self.local_succs, members, group_of, own, out);
     }
 
     /// Reachability set of `a` (everything ordered after it).
@@ -224,6 +235,29 @@ impl ExecOrderGraph {
     pub fn independent(&self, a: KernelId, b: KernelId) -> bool {
         !self.reaches(a, b) && !self.reaches(b, a)
     }
+}
+
+/// The distinct groups, other than `own`, that the successors of
+/// `members` in `succs` fall into, sorted ascending.
+fn summarize_succs(
+    succs: &[Vec<KernelId>],
+    members: &[KernelId],
+    group_of: &[u32],
+    own: u32,
+    out: &mut Vec<u32>,
+) {
+    out.clear();
+    for &k in members {
+        for &s in &succs[k.index()] {
+            let g = group_of[s.index()];
+            debug_assert_ne!(g, u32::MAX, "group map does not cover kernel {s}");
+            if g != own {
+                out.push(g);
+            }
+        }
+    }
+    out.sort_unstable();
+    out.dedup();
 }
 
 #[cfg(test)]
@@ -306,6 +340,51 @@ mod tests {
             g.topo_order(&grp),
             vec![KernelId(0), KernelId(1), KernelId(3)]
         );
+    }
+
+    #[test]
+    fn local_edges_are_the_dense_edges_within_an_epoch() {
+        // k0 → k1 in epoch 0; a sync; k2, k3 in epoch 1 with k2 → k3.
+        let mut pb = ProgramBuilder::new("p", [32, 8, 2]);
+        let [a, b, c, d, e] = pb.arrays(["A", "B", "C", "D", "E"]);
+        pb.kernel("k0").write(b, Expr::at(a)).build();
+        pb.kernel("k1").write(c, Expr::at(b)).build();
+        pb.host_sync();
+        pb.kernel("k2").write(d, Expr::at(c)).build();
+        pb.kernel("k3").write(e, Expr::at(d)).build();
+        let p = pb.build();
+        let epochs = p.epochs();
+        let g = ExecOrderGraph::build(&p);
+        let identity: Vec<u32> = (0..g.len() as u32).collect();
+        let local_succs = |k: u32| {
+            let mut out = Vec::new();
+            g.group_local_succs_into(&[KernelId(k)], &identity, k, &mut out);
+            out
+        };
+        for u in 0..g.len() {
+            let ku = KernelId(u as u32);
+            let want: Vec<u32> = g
+                .succs_of(ku)
+                .iter()
+                .map(|v| v.0)
+                .filter(|&v| epochs[v as usize] == epochs[u])
+                .collect();
+            assert_eq!(local_succs(u as u32), want, "succs of {ku}");
+            let want: Vec<KernelId> = (0..u)
+                .map(|v| KernelId(v as u32))
+                .filter(|&v| epochs[v.index()] == epochs[u] && g.succs_of(v).contains(&ku))
+                .collect();
+            assert_eq!(g.local_preds_of(ku), want.as_slice(), "preds of {ku}");
+        }
+        // The sync adds the complete bipartite order between the epochs;
+        // none of it is local.
+        assert_eq!(
+            g.succs_of(KernelId(0)),
+            &[KernelId(1), KernelId(2), KernelId(3)]
+        );
+        assert_eq!(local_succs(0), [1]);
+        assert_eq!(g.local_preds_of(KernelId(2)), &[] as &[KernelId]);
+        assert_eq!(local_succs(2), [3]);
     }
 
     #[test]

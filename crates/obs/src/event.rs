@@ -321,6 +321,10 @@ pub enum Gauge {
     CacheHitRate,
     /// Final memo miss rate, `misses / probes`.
     MissRate,
+    /// Heap bytes of the evaluation memo at the end of a solve: slot
+    /// tables plus member arenas, summed over shards (and, for the
+    /// hierarchical solver, over the region solves' memos too).
+    MemoBytes,
     /// Momentary depth of the daemon's bounded request queue, sampled at
     /// every admission and dequeue (`kfuse serve`).
     QueueDepth,
@@ -328,7 +332,7 @@ pub enum Gauge {
 
 impl Gauge {
     /// Number of gauges (registry slot count).
-    pub const COUNT: usize = 5;
+    pub const COUNT: usize = 6;
 
     /// All gauges, in registry/display order.
     pub const ALL: [Gauge; Gauge::COUNT] = [
@@ -336,6 +340,7 @@ impl Gauge {
         Gauge::GenerationBest,
         Gauge::CacheHitRate,
         Gauge::MissRate,
+        Gauge::MemoBytes,
         Gauge::QueueDepth,
     ];
 
@@ -346,6 +351,7 @@ impl Gauge {
             Gauge::GenerationBest => "generation_best",
             Gauge::CacheHitRate => "cache_hit_rate",
             Gauge::MissRate => "miss_rate",
+            Gauge::MemoBytes => "memo_bytes",
             Gauge::QueueDepth => "queue_depth",
         }
     }

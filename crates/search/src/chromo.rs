@@ -8,7 +8,10 @@
 //! the kernels that moved between slots (`moved`); the incremental
 //! condensation cache rebuilds only the inter-group successor summaries
 //! incident to those marks before the cycle test, instead of re-deriving
-//! the whole condensation DAG per candidate plan.
+//! the whole condensation DAG per candidate plan. The summaries follow
+//! only exec-order edges inside one host-sync epoch (see
+//! `Chromosome::kahn` for why that decides the cycle test exactly), so
+//! a moved kernel never makes a whole neighbouring epoch stale.
 //!
 //! Invariants the HGGA relies on (see DESIGN.md §10):
 //!
@@ -548,12 +551,12 @@ impl Chromosome {
         }
     }
 
-    /// Rebuild the successor-slot summary of `sid`, appending at the edge
-    /// arena tail.
+    /// Rebuild the epoch-local successor-slot summary of `sid`, appending
+    /// at the edge arena tail.
     fn rebuild_slot_edges(&mut self, sid: u32, exec: &ExecOrderGraph, scratch: &mut OpScratch) {
         let s = self.slots[sid as usize];
         let members = &self.arena[s.start as usize..(s.start + s.len) as usize];
-        exec.group_succs_into(members, &self.group_of, sid, &mut scratch.succ_buf);
+        exec.group_local_succs_into(members, &self.group_of, sid, &mut scratch.succ_buf);
         let estart = self.edges.len() as u32;
         self.edges.extend_from_slice(&scratch.succ_buf);
         let s = &mut self.slots[sid as usize];
@@ -562,11 +565,11 @@ impl Chromosome {
     }
 
     /// Bring the edge summaries up to date. Incremental when possible: only
-    /// slots whose membership changed, plus slots with an exec-order edge
-    /// into a moved kernel, are rebuilt. A non-stale slot's successor list
-    /// cannot have changed — it could only change if some successor kernel
-    /// of its members moved, and then the slot is a predecessor-slot of a
-    /// moved kernel and is in the stale set.
+    /// slots whose membership changed, plus slots with an epoch-local
+    /// exec-order edge into a moved kernel, are rebuilt. A non-stale slot's
+    /// successor list cannot have changed — it could only change if some
+    /// local successor kernel of its members moved, and then the slot is a
+    /// local predecessor-slot of a moved kernel and is in the stale set.
     fn refresh_edges(&mut self, exec: &ExecOrderGraph, scratch: &mut OpScratch) {
         if !self.cond_valid {
             self.edges.clear();
@@ -588,7 +591,7 @@ impl Chromosome {
             }
         }
         for &k in &self.moved {
-            for &p in exec.preds_of(k) {
+            for &p in exec.local_preds_of(k) {
                 let sid = self.group_of[p.index()];
                 debug_assert!(self.slots[sid as usize].alive);
                 stale.push(sid);
@@ -609,6 +612,14 @@ impl Chromosome {
     /// first). Requires normalized regions so `arena[start]` is each
     /// group's minimum member. Leaves `scratch.indeg` populated so the
     /// caller can find the first stuck group. Returns true if acyclic.
+    ///
+    /// The summary holds epoch-local edges only, and both callers run this
+    /// only once every multi-member group is feasible — so no group spans
+    /// a host sync, and every cycle lies inside one epoch. The verdict is
+    /// the dense graph's. So is the first stuck slot: the dense graph's
+    /// stuck slots in the earliest epoch with a cycle are exactly those
+    /// reachable there by local edges (no path re-enters an epoch), later
+    /// epochs hold only larger kernel ids, and earlier ones none stuck.
     fn kahn(&self, scratch: &mut OpScratch) -> bool {
         debug_assert!(self.normalized);
         scratch.indeg.clear();

@@ -10,8 +10,14 @@
 //! hammer it concurrently:
 //!
 //! * **Sharding.** Groups hash to one of `SHARD_COUNT` independent
-//!   `RwLock<HashMap>` shards by an order-insensitive 64-bit fingerprint,
-//!   so writers on one shard never stall readers on another.
+//!   `RwLock` shards by an order-insensitive 64-bit fingerprint, so
+//!   writers on one shard never stall readers on another.
+//! * **Flat shards.** Each shard is one open-addressing (linear probing)
+//!   table of fixed-size slots — fingerprint, time, key offset, key
+//!   length — over one member arena that holds every stored sorted key
+//!   back to back. An entry costs no heap object of its own: both buffers
+//!   grow by doubling, and the table rehashes from the stored
+//!   fingerprints without touching the keys.
 //! * **Allocation-free hit path.** The probe key is the group sorted into
 //!   a stack buffer (heap fallback only beyond `STACK_KEY` members); a
 //!   hit performs zero heap allocation. Entries are compared by their full
@@ -39,14 +45,19 @@ use kfuse_obs::{
 };
 use parking_lot::RwLock;
 use std::cell::RefCell;
-use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
 use std::time::{Duration, Instant};
 
 /// Number of memo shards. A power of two so the shard index is a mask of
 /// the fingerprint; 16 keeps contention negligible for the island counts
 /// that make sense on one host while wasting little memory on small runs.
 const SHARD_COUNT: usize = 16;
+
+/// Fingerprint bits consumed by the shard index; a shard's table indexes
+/// with the bits above them.
+const SHARD_BITS: u32 = SHARD_COUNT.trailing_zeros();
+
+/// Table size of a shard's first allocation (a power of two).
+const MIN_SLOTS: usize = 16;
 
 /// Largest group whose probe key is sorted on the stack.
 const STACK_KEY: usize = 32;
@@ -66,28 +77,108 @@ impl GroupEval {
     }
 }
 
-/// Identity hasher for the shard maps: the group fingerprint is already
-/// splitmix64-mixed, so re-hashing it through SipHash would only burn
-/// cycles on the hit path.
-#[derive(Default)]
-struct FingerprintHasher(u64);
-
-impl Hasher for FingerprintHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write_u64(&mut self, v: u64) {
-        self.0 = v;
-    }
-    fn write(&mut self, _bytes: &[u8]) {
-        unreachable!("shard keys are hashed via write_u64 only");
-    }
+/// One entry of a shard table: the group's fingerprint and evaluation,
+/// and where its sorted key lives in the shard's member arena.
+#[derive(Clone, Copy)]
+struct MemoSlot {
+    fp: u64,
+    eval: GroupEval,
+    /// Arena offset of the key; [`FREE`] marks an empty slot.
+    key_start: u32,
+    key_len: u32,
 }
 
-/// One memo shard: fingerprint → entries with that fingerprint. The inner
-/// list handles fingerprint collisions exactly (compared by sorted member
-/// list); in practice it holds a single entry.
-type Shard = HashMap<u64, Vec<(Box<[KernelId]>, GroupEval)>, BuildHasherDefault<FingerprintHasher>>;
+/// `key_start` of an empty slot.
+const FREE: u32 = u32::MAX;
+
+const EMPTY_SLOT: MemoSlot = MemoSlot {
+    fp: 0,
+    eval: GroupEval { time_s: 0.0 },
+    key_start: FREE,
+    key_len: 0,
+};
+
+/// One memo shard: a linear-probing table of [`MemoSlot`]s over a single
+/// member arena. Entries are never removed, and the table is kept at
+/// most three-quarters full, so every probe ends at a free slot.
+#[derive(Default)]
+struct MemoShard {
+    slots: Vec<MemoSlot>,
+    keys: Vec<KernelId>,
+    len: usize,
+}
+
+impl MemoShard {
+    /// The slot holding `key`, or else the free slot ending its probe
+    /// sequence. The table must be non-empty.
+    fn find(&self, fp: u64, key: &[KernelId]) -> usize {
+        let mask = self.slots.len() - 1;
+        let mut i = (fp >> SHARD_BITS) as usize & mask;
+        loop {
+            let s = &self.slots[i];
+            if s.key_start == FREE
+                || (s.fp == fp
+                    && self.keys[s.key_start as usize..(s.key_start + s.key_len) as usize] == *key)
+            {
+                return i;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// The stored evaluation of `key` (sorted), if any.
+    fn get(&self, fp: u64, key: &[KernelId]) -> Option<GroupEval> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        let s = &self.slots[self.find(fp, key)];
+        (s.key_start != FREE).then_some(s.eval)
+    }
+
+    /// Store `eval` for `key` (sorted), or return the evaluation already
+    /// stored for it: the first entry wins.
+    fn insert(&mut self, fp: u64, key: &[KernelId], eval: GroupEval) -> Option<GroupEval> {
+        if let Some(hit) = self.get(fp, key) {
+            return Some(hit);
+        }
+        if 4 * (self.len + 1) > 3 * self.slots.len() {
+            self.grow();
+        }
+        let i = self.find(fp, key);
+        let key_start = self.keys.len();
+        // Checking the end offset keeps `key_start + key_len` in range too.
+        u32::try_from(key_start + key.len()).expect("memo arena exceeds u32 offsets");
+        self.keys.extend_from_slice(key);
+        self.slots[i] = MemoSlot {
+            fp,
+            eval,
+            key_start: key_start as u32,
+            key_len: key.len() as u32,
+        };
+        self.len += 1;
+        None
+    }
+
+    /// Double the table and re-seat every entry by its stored fingerprint.
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(MIN_SLOTS);
+        let old = std::mem::replace(&mut self.slots, vec![EMPTY_SLOT; cap]);
+        let mask = cap - 1;
+        for s in old.into_iter().filter(|s| s.key_start != FREE) {
+            let mut i = (s.fp >> SHARD_BITS) as usize & mask;
+            while self.slots[i].key_start != FREE {
+                i = (i + 1) & mask;
+            }
+            self.slots[i] = s;
+        }
+    }
+
+    /// Heap bytes held: the slot table plus the member arena.
+    fn bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<MemoSlot>()
+            + self.keys.capacity() * std::mem::size_of::<KernelId>()
+    }
+}
 
 thread_local! {
     static CONDENSATION_SCRATCH: RefCell<CondensationScratch> =
@@ -108,7 +199,7 @@ pub struct Evaluator<'a> {
     pub ctx: &'a PlanContext,
     /// The projection model used as objective (Eq. 1).
     pub model: &'a dyn PerfModel,
-    shards: Vec<RwLock<Shard>>,
+    shards: Vec<RwLock<MemoShard>>,
     /// Dense per-kernel baseline: `baseline[k]` is the singleton eval of
     /// kernel `k`, precomputed so singleton groups bypass the memo.
     baseline: Vec<GroupEval>,
@@ -134,7 +225,7 @@ impl<'a> Evaluator<'a> {
             ctx,
             model,
             shards: (0..SHARD_COUNT)
-                .map(|_| RwLock::new(Shard::default()))
+                .map(|_| RwLock::new(MemoShard::default()))
                 .collect(),
             baseline,
             metrics: MetricsRegistry::new(),
@@ -229,6 +320,17 @@ impl<'a> Evaluator<'a> {
         self.metrics.add(c, v);
     }
 
+    /// The memo shard `fp` belongs to.
+    fn shard(&self, fp: u64) -> &RwLock<MemoShard> {
+        &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize]
+    }
+
+    /// Heap bytes the memo holds: every shard's slot table plus member
+    /// arena (reported as the `memo_bytes` gauge).
+    pub(crate) fn memo_bytes(&self) -> usize {
+        self.shards.iter().map(|s| s.read().bytes()).sum()
+    }
+
     /// The precomputed singleton eval of kernel `k` — the delta path's
     /// repair step resolves lone orphans through this without touching the
     /// memo or re-sorting a one-element key.
@@ -264,11 +366,9 @@ impl<'a> Evaluator<'a> {
         self.metrics.incr(Counter::MemoProbes);
         with_sorted_key(group, |key| {
             let fp = fingerprint(key);
-            let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-            if let Some(bucket) = shard.read().get(&fp) {
-                if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                    return *hit;
-                }
+            let shard = self.shard(fp);
+            if let Some(hit) = shard.read().get(fp, key) {
+                return hit;
             }
             self.metrics.incr(Counter::MemoMisses);
             let t0 = Instant::now();
@@ -278,14 +378,10 @@ impl<'a> Evaluator<'a> {
                     .with(|s| compute_with(self.ctx, self.model, key, &mut s.borrow_mut())),
             };
             self.metrics.add(Counter::SynthNs, synth_ns);
-            let mut w = shard.write();
-            let bucket = w.entry(fp).or_default();
             // A racing thread may have inserted while we computed.
-            if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                return *hit;
+            if let Some(hit) = shard.write().insert(fp, key, eval) {
+                return hit;
             }
-            bucket.push((key.to_vec().into_boxed_slice(), eval));
-            drop(w);
             let miss = t0.elapsed();
             self.metrics.add(Counter::MissNs, miss.as_nanos() as u64);
             if self.obs.is_enabled() {
@@ -454,11 +550,8 @@ impl<'a> Evaluator<'a> {
             multi_probes += 1;
             let eval = with_sorted_key(group, |key| {
                 let fp = fingerprint(key);
-                let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-                if let Some(bucket) = shard.read().get(&fp) {
-                    if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
-                        return *hit;
-                    }
+                if let Some(hit) = self.shard(fp).read().get(fp, key) {
+                    return hit;
                 }
                 // Distinct miss, or an in-batch duplicate of one already
                 // queued; either way the candidate resolves after the
@@ -487,18 +580,10 @@ impl<'a> Evaluator<'a> {
             // values are bitwise equal — same pure function — so this
             // only avoids duplicate entries).
             for j in 0..miss.len() {
-                let key = miss.group(j);
                 let fp = miss_fp[j];
-                let shard = &self.shards[(fp & (SHARD_COUNT as u64 - 1)) as usize];
-                let mut w = shard.write();
-                let bucket = w.entry(fp).or_default();
-                if let Some((_, hit)) = bucket.iter().find(|(k, _)| &**k == key) {
+                let eval = GroupEval { time_s: times[j] };
+                if let Some(hit) = self.shard(fp).write().insert(fp, miss.group(j), eval) {
                     times[j] = hit.time_s;
-                } else {
-                    bucket.push((
-                        key.to_vec().into_boxed_slice(),
-                        GroupEval { time_s: times[j] },
-                    ));
                 }
             }
             let dur = t0.elapsed();
@@ -863,6 +948,71 @@ mod tests {
             fingerprint(&[KernelId(3)]),
             fingerprint(&[KernelId(3), KernelId(3)])
         );
+    }
+
+    fn keys(n: u32) -> Vec<Vec<KernelId>> {
+        (0..n).map(|i| vec![KernelId(i), KernelId(i + 1)]).collect()
+    }
+
+    #[test]
+    fn shard_keeps_keys_that_share_a_fingerprint_apart() {
+        let mut shard = MemoShard::default();
+        let (a, b) = ([KernelId(1), KernelId(2)], [KernelId(3), KernelId(9)]);
+        let (ea, eb) = (GroupEval { time_s: 1.0 }, GroupEval { time_s: 2.0 });
+        assert_eq!(shard.insert(42, &a, ea), None);
+        assert_eq!(shard.insert(42, &b, eb), None);
+        assert_eq!(shard.get(42, &a), Some(ea));
+        assert_eq!(shard.get(42, &b), Some(eb));
+        assert_eq!(shard.get(42, &[KernelId(1), KernelId(3)]), None);
+        // Re-inserting a stored key keeps the first entry.
+        assert_eq!(shard.insert(42, &a, eb), Some(ea));
+        assert_eq!(shard.len, 2);
+    }
+
+    #[test]
+    fn shard_entries_survive_repeated_growth() {
+        let mut shard = MemoShard::default();
+        let keys = keys(5000);
+        for (i, k) in keys.iter().enumerate() {
+            let eval = GroupEval { time_s: i as f64 };
+            assert_eq!(shard.insert(fingerprint(k), k, eval), None);
+        }
+        assert!(shard.slots.len() >= 8192, "the table grew past 4096 slots");
+        for (i, k) in keys.iter().enumerate() {
+            let got = shard.get(fingerprint(k), k);
+            assert_eq!(got, Some(GroupEval { time_s: i as f64 }), "key {i}");
+        }
+        assert_eq!(shard.keys.len(), 2 * keys.len());
+    }
+
+    #[test]
+    fn probe_through_a_full_cluster_terminates() {
+        // Every key on one fingerprint: the table is a single cluster up
+        // to the load limit, and a probe for an absent key must walk it to
+        // the free slot that ends it.
+        let mut shard = MemoShard::default();
+        for k in &keys(3 * MIN_SLOTS as u32 / 4) {
+            shard.insert(7, k, GroupEval { time_s: 0.5 });
+        }
+        assert_eq!(shard.slots.len(), MIN_SLOTS, "no growth before the limit");
+        let absent = [KernelId(1000), KernelId(1001)];
+        assert_eq!(shard.get(7, &absent), None);
+        assert_eq!(shard.get(7 + (3 << SHARD_BITS), &absent), None);
+        // One more entry crosses the limit and doubles the table.
+        shard.insert(7, &absent, GroupEval { time_s: 0.5 });
+        assert_eq!(shard.slots.len(), 2 * MIN_SLOTS);
+        assert_eq!(shard.get(7, &absent), Some(GroupEval { time_s: 0.5 }));
+    }
+
+    #[test]
+    fn memo_bytes_counts_tables_and_arenas() {
+        let ctx = ctx();
+        let model = ProposedModel::default();
+        let ev = Evaluator::new(&ctx, &model);
+        assert_eq!(ev.memo_bytes(), 0, "an unused memo holds nothing");
+        ev.group(&[KernelId(0), KernelId(1)]);
+        let slot = std::mem::size_of::<MemoSlot>();
+        assert!(ev.memo_bytes() >= MIN_SLOTS * slot + 2 * std::mem::size_of::<KernelId>());
     }
 
     #[test]

@@ -366,6 +366,8 @@ impl HggaSolver {
         ev.metrics().set_gauge(Gauge::BestObjective, best_cost);
         ev.metrics().set_gauge(Gauge::CacheHitRate, ev.hit_rate());
         ev.metrics().set_gauge(Gauge::MissRate, ev.miss_rate());
+        ev.metrics()
+            .set_gauge(Gauge::MemoBytes, ev.memo_bytes() as f64);
         let metrics = ev.snapshot();
         let stats = SolveStats {
             elapsed: start.elapsed(),
@@ -543,6 +545,8 @@ impl HggaSolver {
         ev.metrics().set_gauge(Gauge::BestObjective, global_cost);
         ev.metrics().set_gauge(Gauge::CacheHitRate, ev.hit_rate());
         ev.metrics().set_gauge(Gauge::MissRate, ev.miss_rate());
+        ev.metrics()
+            .set_gauge(Gauge::MemoBytes, ev.memo_bytes() as f64);
         let metrics = ev.snapshot();
         let stats = SolveStats {
             // Legacy semantics: the Table VI column is the max over
@@ -1281,6 +1285,42 @@ mod tests {
                 new.stats.best_generation, old.stats.best_generation,
                 "seed {seed} best generation"
             );
+        }
+    }
+
+    #[test]
+    fn flat_solver_matches_reference_on_multi_epoch_workloads() {
+        // Host syncs split homme into 22 epochs and scale-les into 6. The
+        // chromosome's condensation cache follows only epoch-local edges,
+        // while the reference repairs against the dense exec-order graph,
+        // so this pin is what checks the two agree on every repair victim.
+        let model = ProposedModel::default();
+        for (name, epochs) in [("homme", 22), ("scale-les", 6)] {
+            let p = kfuse_workloads::by_name(name).unwrap();
+            let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+            assert_eq!(ctx.info.epochs.iter().max().map(|e| e + 1), Some(epochs));
+            for seed in [1, 2] {
+                let cfg = quick_config(seed);
+                let new = HggaSolver {
+                    config: cfg.clone(),
+                }
+                .solve(&ctx, &model);
+                let old = reference::solve(&cfg, &ctx, &model);
+                assert_eq!(new.plan, old.plan, "{name} seed {seed} plan diverged");
+                assert_eq!(
+                    new.objective.to_bits(),
+                    old.objective.to_bits(),
+                    "{name} seed {seed} objective"
+                );
+                assert_eq!(
+                    new.stats.generations, old.stats.generations,
+                    "{name} seed {seed} generations"
+                );
+                assert_eq!(
+                    new.stats.best_generation, old.stats.best_generation,
+                    "{name} seed {seed} best generation"
+                );
+            }
         }
     }
 

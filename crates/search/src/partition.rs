@@ -416,12 +416,14 @@ impl HggaHierSolver {
         // registry so `kfuse stats` sees the whole run.
         let mut groups: Vec<Vec<KernelId>> = Vec::new();
         let mut regions_solved = 0u64;
+        let mut region_memo_bytes = 0.0;
         for r in results.into_iter().flatten() {
             if !r.metrics.is_empty() {
                 regions_solved += 1;
                 for c in Counter::ALL {
                     ev.metrics().add(c, r.metrics.get(c));
                 }
+                region_memo_bytes += r.metrics.gauge(Gauge::MemoBytes).unwrap_or(0.0);
             }
             groups.extend(r.groups);
         }
@@ -505,6 +507,8 @@ impl HggaHierSolver {
         ev.metrics().set_gauge(Gauge::BestObjective, objective);
         ev.metrics().set_gauge(Gauge::CacheHitRate, ev.hit_rate());
         ev.metrics().set_gauge(Gauge::MissRate, ev.miss_rate());
+        ev.metrics()
+            .set_gauge(Gauge::MemoBytes, region_memo_bytes + ev.memo_bytes() as f64);
         obs.value(Gauge::BestObjective, objective);
         let metrics = ev.snapshot();
         let stats = SolveStats {

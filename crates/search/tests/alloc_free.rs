@@ -5,10 +5,12 @@
 //! on parallel threads. After warming the synthesis scratch once,
 //! re-evaluating distinct groups through [`Evaluator::evaluate_uncached`] (structure checks + SoA synthesis +
 //! view projection + profitability) must not allocate at all. Memo
-//! insertion (the boxed key) is deliberately outside this unit — it is
-//! amortized storage, not per-evaluation work.
+//! insertion is deliberately outside this unit — it is amortized storage,
+//! not per-evaluation work — and has its own test: each shard stores its
+//! entries in one slot table and one member arena that grow by doubling,
+//! so N distinct inserts cost O(log N) allocations, not one per entry.
 //!
-//! The observability rework adds a second guarantee: with tracing
+//! The observability rework adds a further guarantee: with tracing
 //! disabled ([`ObsHandle::disabled`], or the `trace` feature off — both
 //! land in the same no-op path), the memo *hit* path with its always-on
 //! registry counters must also stay allocation-free.
@@ -201,5 +203,49 @@ fn memo_hit_path_with_disabled_obs_is_allocation_free() {
     assert_eq!(
         ev.evaluations(),
         ev.snapshot().get(kfuse_obs::Counter::MemoMisses)
+    );
+}
+
+#[test]
+fn memo_inserts_allocate_only_when_storage_doubles() {
+    // Distinct pairs of a 100-kernel program: every probe misses and
+    // inserts. With a warm synthesis scratch the only allocations left
+    // are the shards' table and arena doublings.
+    let p = kfuse_workloads::synth::scaling(100);
+    let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+    let model = ProposedModel::default();
+    let ev = Evaluator::observed(&ctx, &model, ObsHandle::disabled());
+    let n = ctx.n_kernels() as u32;
+    let pairs: Vec<[KernelId; 2]> = (0..n)
+        .flat_map(|i| (i + 1..n).map(move |j| [KernelId(i), KernelId(j)]))
+        .collect();
+    const N: usize = 2048;
+    assert!(pairs.len() >= 2 * N);
+    let mut scratch = SynthScratch::new();
+    for g in &group_pool(ctx.n_kernels()) {
+        std::hint::black_box(ev.evaluate_uncached(g, &mut scratch));
+    }
+
+    let insert = |batch: &[[KernelId; 2]], scratch: &mut SynthScratch| {
+        let (misses, before) = (ev.evaluations(), allocations());
+        for g in batch {
+            std::hint::black_box(ev.group_with(g, scratch));
+        }
+        assert_eq!(ev.evaluations() - misses, batch.len() as u64);
+        allocations() - before
+    };
+    // 16 shards, each with a table and an arena that double from empty:
+    // at most 2 · 16 · (log2 N + 1) allocations for the first N entries.
+    let first = insert(&pairs[..N], &mut scratch);
+    let log_bound = 2 * 16 * (u64::from(N.ilog2()) + 1);
+    assert!(
+        first <= log_bound,
+        "{first} allocations for {N} distinct inserts (bound {log_bound})"
+    );
+    // Doubling the entry count doubles each buffer about once more.
+    let second = insert(&pairs[N..2 * N], &mut scratch);
+    assert!(
+        second <= 2 * 16 * 2,
+        "{second} allocations for the next {N} inserts"
     );
 }

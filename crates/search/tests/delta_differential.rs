@@ -3,6 +3,10 @@
 //! synthetic workloads must yield objective values — and infeasibility
 //! verdicts — bitwise identical to a from-scratch [`Evaluator::plan`] on
 //! the converted [`FusionPlan`].
+//!
+//! The chromosome's condensation cache follows only exec-order edges
+//! inside one host-sync epoch, while [`Evaluator::plan`] checks the dense
+//! graph, so the multi-epoch contexts below pin the two together.
 
 use kfuse_core::model::ProposedModel;
 use kfuse_core::pipeline::prepare;
@@ -24,6 +28,18 @@ fn context(kernels: usize, seed: u64) -> PlanContext {
     };
     let p = generate(&cfg);
     let (_, ctx) = prepare(&p, &GpuSpec::k20x(), FpPrecision::Double);
+    ctx
+}
+
+/// A synthetic workload with a host sync every `interval` kernels.
+fn synced_context(kernels: usize, seed: u64, interval: usize) -> PlanContext {
+    let cfg = SynthConfig {
+        kernels,
+        seed,
+        sync_interval: Some(interval),
+        ..Default::default()
+    };
+    let (_, ctx) = prepare(&generate(&cfg), &GpuSpec::k20x(), FpPrecision::Double);
     ctx
 }
 
@@ -104,6 +120,67 @@ fn rescore_matches_plan_eval_after_raw_structural_moves() {
                 got.total_cmp(&full).is_eq(),
                 "workload {w} step {step}: rescore {got} != full {full}"
             );
+        }
+    }
+}
+
+#[test]
+fn delta_evaluation_matches_full_plan_eval_across_host_syncs() {
+    let model = ProposedModel::default();
+    let mut contexts: Vec<(String, PlanContext)> = (0..6u64)
+        .map(|w| {
+            let (kernels, interval) = (24 + (w as usize % 3) * 8, 5 + w as usize % 4);
+            let ctx = synced_context(kernels, 0x5_1C ^ (w * 7919), interval);
+            (format!("synced synth {w}"), ctx)
+        })
+        .collect();
+    for name in ["homme", "scale-les"] {
+        let p = kfuse_workloads::by_name(name).unwrap();
+        contexts.push((
+            name.to_string(),
+            prepare(&p, &GpuSpec::k20x(), FpPrecision::Double).1,
+        ));
+    }
+    for (name, ctx) in &contexts {
+        let epochs = &ctx.info.epochs;
+        assert!(epochs.iter().max() > Some(&1), "{name} has several epochs");
+        let n = ctx.n_kernels();
+        let ev = Evaluator::new(ctx, &model);
+        let mut scratch = OpScratch::new();
+        for s in 0..4u64 {
+            let mut rng = SmallRng::seed_from_u64(0xE90C ^ s);
+            let mut a = random_chromosome(&ev, &mut rng, &mut scratch);
+            let mut b = random_chromosome(&ev, &mut rng, &mut scratch);
+            for step in 0..6 {
+                let child = match rng.gen_range(0..3u8) {
+                    0 => crossover(&ev, &a, &b, &mut rng, &mut scratch),
+                    1 => mutate(&ev, a.clone(), &mut rng, &mut scratch),
+                    _ => local_search(&ev, a.clone(), &mut rng, &mut scratch),
+                };
+                assert_delta_matches_full(&ev, &child, &format!("{name} seq {s} step {step}"));
+                b = std::mem::replace(&mut a, child);
+            }
+            // Raw moves, mostly into a group of the kernel's own epoch so
+            // the condensation check (not the sync split) decides.
+            let mut ch = a;
+            for step in 0..48 {
+                let k = KernelId(rng.gen_range(0..n) as u32);
+                let to = if rng.gen_bool(0.8) {
+                    let same: Vec<usize> =
+                        (0..n).filter(|&j| epochs[j] == epochs[k.index()]).collect();
+                    let j = KernelId(same[rng.gen_range(0..same.len())] as u32);
+                    ch.position_of_slot(ch.slot_of(j))
+                } else {
+                    rng.gen_range(0..ch.group_count())
+                };
+                ch.move_kernel(k, to);
+                let got = ch.rescore(&ev, &mut scratch);
+                let full = ev.plan(&ch.to_plan());
+                assert!(
+                    got.total_cmp(&full).is_eq(),
+                    "{name} seq {s} move {step}: rescore {got} != full {full}"
+                );
+            }
         }
     }
 }
