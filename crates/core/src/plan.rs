@@ -240,21 +240,7 @@ impl PlanContext {
         group_idx: usize,
     ) -> Result<GroupSpec, PlanError> {
         if group.len() >= 2 {
-            // Host synchronization points split the program into epochs no
-            // fusion may span.
-            let e0 = self.info.epochs[group[0].index()];
-            if group.iter().any(|k| self.info.epochs[k.index()] != e0) {
-                return Err(PlanError::SyncSplit { group: group_idx });
-            }
-            // Streams: fusing across streams serializes concurrency.
-            let s0 = self.info.streams[group[0].index()];
-            if group.iter().any(|k| self.info.streams[k.index()] != s0) {
-                return Err(PlanError::StreamSplit { group: group_idx });
-            }
-            // 1.5 kinship.
-            if !self.share.group_connected(group.iter().copied()) {
-                return Err(PlanError::Kinship { group: group_idx });
-            }
+            self.check_group_splits(group, group_idx)?;
             // 1.3 path closure.
             let mut bits = BitSet::new(self.n_kernels());
             for &k in group {
@@ -291,6 +277,38 @@ impl PlanContext {
         Ok(spec)
     }
 
+    /// The split tests that open every structural check: all members in
+    /// one host-sync epoch, one CUDA stream and one sharing component
+    /// (constraint 1.5). Each is a single O(len) pass over per-kernel
+    /// labels and needs neither scratch nor member order, so the memoizing
+    /// evaluator runs it before sorting or probing a group. Groups of
+    /// fewer than two members always pass.
+    pub fn check_group_splits(
+        &self,
+        group: &[KernelId],
+        group_idx: usize,
+    ) -> Result<(), PlanError> {
+        let Some(first) = group.first() else {
+            return Ok(());
+        };
+        // Host synchronization points split the program into epochs no
+        // fusion may span.
+        let e0 = self.info.epochs[first.index()];
+        if group.iter().any(|k| self.info.epochs[k.index()] != e0) {
+            return Err(PlanError::SyncSplit { group: group_idx });
+        }
+        // Streams: fusing across streams serializes concurrency.
+        let s0 = self.info.streams[first.index()];
+        if group.iter().any(|k| self.info.streams[k.index()] != s0) {
+            return Err(PlanError::StreamSplit { group: group_idx });
+        }
+        // 1.5 kinship.
+        if !self.share.group_connected(group.iter().copied()) {
+            return Err(PlanError::Kinship { group: group_idx });
+        }
+        Ok(())
+    }
+
     /// The *structural* constraints alone (sync/stream splits, kinship,
     /// path closure), using the scratch's reusable bitsets: the
     /// allocation-free front half of [`PlanContext::check_group`].
@@ -303,21 +321,7 @@ impl PlanContext {
         if group.len() < 2 {
             return Ok(());
         }
-        // Host synchronization points split the program into epochs no
-        // fusion may span.
-        let e0 = self.info.epochs[group[0].index()];
-        if group.iter().any(|k| self.info.epochs[k.index()] != e0) {
-            return Err(PlanError::SyncSplit { group: group_idx });
-        }
-        // Streams: fusing across streams serializes concurrency.
-        let s0 = self.info.streams[group[0].index()];
-        if group.iter().any(|k| self.info.streams[k.index()] != s0) {
-            return Err(PlanError::StreamSplit { group: group_idx });
-        }
-        // 1.5 kinship.
-        if !self.share.group_connected(group.iter().copied()) {
-            return Err(PlanError::Kinship { group: group_idx });
-        }
+        self.check_group_splits(group, group_idx)?;
         // 1.3 path closure.
         scratch.group_bits.reset(self.n_kernels());
         for &k in group {

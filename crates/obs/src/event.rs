@@ -152,11 +152,17 @@ impl SpanId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[repr(usize)]
 pub enum Counter {
-    /// Multi-member evaluation-memo probes (hits + misses).
+    /// Multi-member evaluation-memo probes (hits + misses). Groups
+    /// rejected by [`Counter::StructureRejects`] never reach the memo and
+    /// are not counted here.
     MemoProbes,
     /// Memo probes that missed and paid synthesis + projection (this is
     /// the legacy `SolveStats::evaluations`).
     MemoMisses,
+    /// Multi-member groups rejected before the memo because they span a
+    /// host sync, two streams or two sharing components: scored infeasible
+    /// with no sort, fingerprint, memo probe or memo entry.
+    StructureRejects,
     /// Plan/chromosome-level condensation acyclicity checks.
     CondensationChecks,
     /// Wall-clock nanoseconds on the memo-miss path, summed over threads.
@@ -231,12 +237,13 @@ pub enum Counter {
 
 impl Counter {
     /// Number of counters (registry slot count).
-    pub const COUNT: usize = 31;
+    pub const COUNT: usize = 32;
 
     /// All counters, in registry/display order.
     pub const ALL: [Counter; Counter::COUNT] = [
         Counter::MemoProbes,
         Counter::MemoMisses,
+        Counter::StructureRejects,
         Counter::CondensationChecks,
         Counter::MissNs,
         Counter::SynthNs,
@@ -273,6 +280,7 @@ impl Counter {
         match self {
             Counter::MemoProbes => "memo_probes",
             Counter::MemoMisses => "memo_misses",
+            Counter::StructureRejects => "structure_rejects",
             Counter::CondensationChecks => "condensation_checks",
             Counter::MissNs => "miss_ns",
             Counter::SynthNs => "synth_ns",

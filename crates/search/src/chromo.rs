@@ -114,6 +114,11 @@ pub struct OpScratch {
     /// Evaluations written back by [`Evaluator::group_batch`], indexed by
     /// candidate position in `bp`.
     pub(crate) bevals: Vec<GroupEval>,
+    /// Second batched probe, for candidates queued only after `bp`'s
+    /// scores are known (local search's second split halves).
+    pub(crate) bp2: BatchProbe,
+    /// Evaluations written back for `bp2`.
+    pub(crate) bevals2: Vec<GroupEval>,
     /// One packed descriptor per queued sample, replayed after the flush:
     /// `[kind-or-slot, i, j, vi, candidate index]` (operators assign their
     /// own meanings per field).

@@ -25,6 +25,12 @@
 //! * **Singleton bypass.** Per-kernel baseline costs are precomputed into
 //!   a dense array at construction; singleton groups never touch the memo
 //!   or its locks at all.
+//! * **Structural rejection before the memo.** A group spanning a host
+//!   sync, two streams or two sharing components
+//!   ([`PlanContext::check_group_splits`]) scores `+∞` on every scoring
+//!   path, and those tests come first there, so it is rejected before the
+//!   sort, fingerprint and memo probe, and never stored. It counts as a
+//!   `StructureRejects`, not a memo probe.
 //!
 //! Active-constraint pruning (§III-C) falls out of
 //! [`kfuse_core::plan::PlanContext::check_group`]: capacity checks run only
@@ -76,6 +82,11 @@ impl GroupEval {
         self.time_s.is_finite()
     }
 }
+
+/// The evaluation of a group that violates a constraint.
+const INFEASIBLE: GroupEval = GroupEval {
+    time_s: f64::INFINITY,
+};
 
 /// One entry of a shard table: the group's fingerprint and evaluation,
 /// and where its sorted key lives in the shard's member arena.
@@ -363,6 +374,13 @@ impl<'a> Evaluator<'a> {
         if let [k] = group {
             return self.baseline[k.index()];
         }
+        // The split tests open every scoring path and each failure scores
+        // `+∞`, so rejecting here, before the sort, fingerprint and memo
+        // probe, changes no evaluation.
+        if self.ctx.check_group_splits(group, 0).is_err() {
+            self.metrics.incr(Counter::StructureRejects);
+            return INFEASIBLE;
+        }
         self.metrics.incr(Counter::MemoProbes);
         with_sorted_key(group, |key| {
             let fp = fingerprint(key);
@@ -540,11 +558,16 @@ impl<'a> Evaluator<'a> {
         miss_fp.clear();
         pending.clear();
         out.clear();
-        let mut multi_probes = 0u64;
+        let (mut multi_probes, mut rejects) = (0u64, 0u64);
         for i in 0..cands.len() {
             let group = cands.group(i);
             if let [k] = group {
                 out.push(self.baseline[k.index()]);
+                continue;
+            }
+            if self.ctx.check_group_splits(group, 0).is_err() {
+                rejects += 1;
+                out.push(INFEASIBLE);
                 continue;
             }
             multi_probes += 1;
@@ -568,6 +591,7 @@ impl<'a> Evaluator<'a> {
             out.push(eval);
         }
         self.metrics.add(Counter::MemoProbes, multi_probes);
+        self.metrics.add(Counter::StructureRejects, rejects);
         if !miss.is_empty() {
             let t0 = Instant::now();
             let stats = score_into(self.ctx, self.model, miss, core, times);

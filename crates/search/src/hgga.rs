@@ -894,30 +894,9 @@ pub fn mutate(
                 let k = ch.members_at(gi)[vi];
                 let gj = rng.gen_range(0..ch.group_count());
                 if gj != gi {
-                    // Grown target and shrunk source scored as one
-                    // two-lane batch. The legacy operator skipped the
-                    // source probe when the target failed; probing it
-                    // anyway costs a shared lane sweep and cannot change
-                    // the accept decision (evaluations are pure).
-                    scratch.bp.clear();
-                    scratch.bp.extend_members(ch.members_at(gj));
-                    scratch.bp.push_member(k);
-                    scratch.bp.seal();
-                    let src_len = ch.members_at(gi).len() - 1;
-                    if src_len > 0 {
-                        for (x, &m) in ch.members_at(gi).iter().enumerate() {
-                            if x != vi {
-                                scratch.bp.push_member(m);
-                            }
-                        }
-                        scratch.bp.seal();
-                    }
-                    ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
-                    let target = scratch.bevals[0];
-                    let source = (target.feasible() && src_len > 0).then(|| scratch.bevals[1]);
-                    let ok =
-                        target.feasible() && (src_len == 0 || source.is_some_and(|e| e.feasible()));
-                    if ok {
+                    // Target first; the source is scored only if it can
+                    // still decide the move.
+                    if let Some((target, source)) = probe_move(ev, &ch, gi, vi, gj, scratch) {
                         ch.push_member(gj, k, target);
                         ch.remove_member(gi, vi, source);
                     }
@@ -927,6 +906,37 @@ pub fn mutate(
     }
     ch.finalize(ev, scratch);
     ch
+}
+
+/// Score moving member `vi` of the group at `gi` into the group at `gj`.
+/// Returns the grown target's and the shrunk source's evaluations (`None`
+/// for a source left empty) when both are feasible, `None` otherwise.
+/// The target is scored first; the source only when the target is
+/// feasible and keeps the source non-empty, because no other case reads it.
+fn probe_move(
+    ev: &Evaluator<'_>,
+    ch: &Chromosome,
+    gi: usize,
+    vi: usize,
+    gj: usize,
+    scratch: &mut OpScratch,
+) -> Option<(GroupEval, Option<GroupEval>)> {
+    let src = ch.members_at(gi);
+    scratch.probe.clear();
+    scratch.probe.extend_from_slice(ch.members_at(gj));
+    scratch.probe.push(src[vi]);
+    let target = ev.group_with(&scratch.probe, &mut scratch.synth);
+    if !target.feasible() {
+        return None;
+    }
+    if src.len() == 1 {
+        return Some((target, None));
+    }
+    scratch.probe.clear();
+    scratch.probe.extend_from_slice(&src[..vi]);
+    scratch.probe.extend_from_slice(&src[vi + 1..]);
+    let source = ev.group_with(&scratch.probe, &mut scratch.synth);
+    source.feasible().then_some((target, Some(source)))
 }
 
 /// One sampled local-search action with the evaluations it probed.
@@ -946,10 +956,11 @@ enum Act {
 /// samples with the exact RNG draws of the one-at-a-time loop (the
 /// chromosome is untouched while sampling, so the draws see identical
 /// state), queues the implied groups in a [`crate::eval::BatchProbe`],
-/// scores them lane-per-candidate in one flush, and then replays the
-/// winner selection in sample order with identical float comparisons —
-/// the chosen action, and therefore the trajectory, is bit-for-bit that
-/// of the scalar loop.
+/// scores them lane-per-candidate, and then replays the winner selection
+/// in sample order with identical float comparisons — the chosen action,
+/// and therefore the trajectory, is bit-for-bit that of the scalar loop.
+/// The split phase ([`best_split`]) scores in two flushes and skips every
+/// second half that cannot win.
 pub fn local_search(
     ev: &Evaluator<'_>,
     mut ch: Chromosome,
@@ -963,47 +974,10 @@ pub fn local_search(
     };
     for _pass in 0..4 {
         let glen = ch.group_count();
-        // Improving bipartitions first: sample random splits of larger
-        // groups and take the best one found. Descriptor: [gi, ca, _, _, _]
-        // with the halves at candidates ca and ca+1.
-        scratch.bp.clear();
-        scratch.descs.clear();
-        for _ in 0..12 {
-            let gi = rng.gen_range(0..glen);
-            if ch.members_at(gi).len() < 3 {
-                continue;
-            }
-            scratch.split_a.clear();
-            scratch.split_b.clear();
-            for &m in ch.members_at(gi) {
-                if rng.gen_bool(0.5) {
-                    scratch.split_a.push(m);
-                } else {
-                    scratch.split_b.push(m);
-                }
-            }
-            if scratch.split_a.is_empty() || scratch.split_b.is_empty() {
-                continue;
-            }
-            let ca = scratch.bp.push(&scratch.split_a);
-            scratch.bp.push(&scratch.split_b);
-            scratch.descs.push([gi as u32, ca as u32, 0, 0, 0]);
-        }
-        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
-        let mut best_split: Option<(f64, usize, usize, GroupEval, GroupEval)> = None;
-        for d in &scratch.descs {
-            let (gi, ca) = (d[0] as usize, d[1] as usize);
-            let (ea, eb) = (scratch.bevals[ca], scratch.bevals[ca + 1]);
-            if ea.time_s.is_finite() && eb.time_s.is_finite() {
-                let gain = cost_at(&ch, gi) - ea.time_s - eb.time_s;
-                if gain > 1e-15 && best_split.as_ref().is_none_or(|(g, ..)| gain > *g) {
-                    best_split = Some((gain, gi, ca, ea, eb));
-                }
-            }
-        }
-        if let Some((_, gi, ca, ea, eb)) = best_split {
+        // Improving bipartitions first.
+        if let Some(Split { gi, ca, cb, ea, eb }) = best_split(ev, &ch, rng, scratch) {
             ch.replace_members(gi, scratch.bp.group(ca), Some(ea));
-            ch.push_group(scratch.bp.group(ca + 1), Some(eb));
+            ch.push_group(scratch.bp2.group(cb), Some(eb));
             continue;
         }
 
@@ -1081,6 +1055,110 @@ pub fn local_search(
     ch
 }
 
+/// Hosts sampled per orphan by [`first_fit`].
+const FIRST_FIT_SAMPLE: usize = 8;
+
+/// The winning bipartition of one local-search pass: the group at `gi`
+/// keeps candidate `ca` of `scratch.bp` (scored `ea`) and candidate `cb`
+/// of `scratch.bp2` (scored `eb`) becomes a new group.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Split {
+    gi: usize,
+    ca: usize,
+    cb: usize,
+    ea: GroupEval,
+    eb: GroupEval,
+}
+
+/// Candidate slot of a split descriptor whose second half was not scored.
+const NOT_QUEUED: u32 = u32::MAX;
+
+/// Sample 12 random bipartitions of groups with at least three members
+/// and return the one with the largest gain above `1e-15`, if any.
+///
+/// First halves are scored in one lane batch. A second half is queued
+/// only when its first half is feasible and leaves `cost - ea > 1e-15`:
+/// times are non-negative or `+inf` and `(c - ea) - eb <= c - ea` in
+/// floating point, so a split failing that test never passes the gain
+/// test, whatever `eb` is. Every RNG draw is made while sampling, so the
+/// winner and the RNG stream match scoring both halves of every sample.
+fn best_split(
+    ev: &Evaluator<'_>,
+    ch: &Chromosome,
+    rng: &mut SmallRng,
+    scratch: &mut OpScratch,
+) -> Option<Split> {
+    let cost_at = |pos: usize| -> f64 {
+        ch.eval_at(pos)
+            .expect("local_search input is sealed")
+            .time_s
+    };
+    let glen = ch.group_count();
+    // Descriptor: [gi, ca, cb, _, _] with the first half at candidate ca
+    // of `bp` and, once queued, the second half at candidate cb of `bp2`
+    // (NOT_QUEUED otherwise).
+    scratch.bp.clear();
+    scratch.descs.clear();
+    for _ in 0..12 {
+        let gi = rng.gen_range(0..glen);
+        if ch.members_at(gi).len() < 3 {
+            continue;
+        }
+        scratch.split_a.clear();
+        let mut b_len = 0;
+        for &m in ch.members_at(gi) {
+            if rng.gen_bool(0.5) {
+                scratch.split_a.push(m);
+            } else {
+                b_len += 1;
+            }
+        }
+        if scratch.split_a.is_empty() || b_len == 0 {
+            continue;
+        }
+        let ca = scratch.bp.push(&scratch.split_a);
+        scratch.descs.push([gi as u32, ca as u32, NOT_QUEUED, 0, 0]);
+    }
+    ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+    scratch.bp2.clear();
+    for d in scratch.descs.iter_mut() {
+        let ea = scratch.bevals[d[1] as usize];
+        debug_assert!(ea.time_s >= 0.0, "scored times are non-negative");
+        if ea.time_s.is_finite() && cost_at(d[0] as usize) - ea.time_s > 1e-15 {
+            // The second half is the group's members outside the first,
+            // in group order; the first half is an ordered subsequence of
+            // the group, so one merge walk rebuilds it.
+            let a = scratch.bp.group(d[1] as usize);
+            let mut ai = 0;
+            for &m in ch.members_at(d[0] as usize) {
+                if a.get(ai) == Some(&m) {
+                    ai += 1;
+                } else {
+                    scratch.bp2.push_member(m);
+                }
+            }
+            d[2] = scratch.bp2.seal() as u32;
+        }
+    }
+    ev.group_batch(&mut scratch.bp2, &mut scratch.bevals2);
+    let mut best: Option<(f64, Split)> = None;
+    for d in &scratch.descs {
+        if d[2] == NOT_QUEUED {
+            continue;
+        }
+        let (gi, ca, cb) = (d[0] as usize, d[1] as usize, d[2] as usize);
+        let (ea, eb) = (scratch.bevals[ca], scratch.bevals2[cb]);
+        debug_assert!(eb.time_s >= 0.0, "scored times are non-negative");
+        if eb.time_s.is_finite() {
+            let gain = cost_at(gi) - ea.time_s - eb.time_s;
+            if gain > 1e-15 && best.as_ref().is_none_or(|(g, _)| gain > *g) {
+                best = Some((gain, Split { gi, ca, cb, ea, eb }));
+            }
+        }
+    }
+    best.map(|(_, split)| split)
+}
+
 /// Insert orphans into existing feasible groups, else as singletons.
 fn first_fit(
     ev: &Evaluator<'_>,
@@ -1091,34 +1169,40 @@ fn first_fit(
 ) {
     orphans.shuffle(rng);
     for &k in orphans.iter() {
-        let mut placed = false;
-        // Probe the bounded random host sample as one lane batch, then
-        // seat the kernel in the first feasible host in sample order —
-        // the same host the one-at-a-time loop picked (extra probes past
-        // it are pure and decide nothing). Placements change membership,
-        // so batching stays within one orphan.
+        // Score the bounded random host sample in doubling chunks of 1, 1,
+        // 2 and 4 hosts, each one lane batch, and seat the kernel in the
+        // first feasible host in sample order: the host the one-at-a-time
+        // loop picks. Hosts after the chunk that holds it decide nothing,
+        // so they are never scored. Placements change membership, so a
+        // chunk never spans two orphans.
         let mut idxs = std::mem::take(&mut scratch.idxs);
         idxs.clear();
         idxs.extend(0..ch.group_count());
         idxs.shuffle(rng);
-        scratch.bp.clear();
-        for &gi in idxs.iter().take(8) {
-            scratch.bp.extend_members(ch.members_at(gi));
-            scratch.bp.push_member(k);
-            scratch.bp.seal();
-        }
-        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
-        for (c, &gi) in idxs.iter().take(8).enumerate() {
-            let e = scratch.bevals[c];
-            if e.feasible() {
-                ch.push_member(gi, k, e);
-                placed = true;
-                break;
+        let sample = &idxs[..idxs.len().min(FIRST_FIT_SAMPLE)];
+        let (mut host, mut start) = (None, 0);
+        while host.is_none() && start < sample.len() {
+            // Chunks [0, 1), [1, 2), [2, 4), [4, 8).
+            let end = (2 * start).clamp(1, sample.len());
+            scratch.bp.clear();
+            for &gi in &sample[start..end] {
+                scratch.bp.extend_members(ch.members_at(gi));
+                scratch.bp.push_member(k);
+                scratch.bp.seal();
             }
+            ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+            host = (start..end)
+                .zip(&scratch.bevals)
+                .find(|(_, e)| e.feasible())
+                .map(|(c, &e)| (sample[c], e));
+            start = end;
         }
         scratch.idxs = idxs;
-        if !placed {
-            ch.push_group(&[k], Some(ev.singleton(k)));
+        match host {
+            Some((gi, e)) => ch.push_member(gi, k, e),
+            None => {
+                ch.push_group(&[k], Some(ev.singleton(k)));
+            }
         }
     }
 }
@@ -1403,6 +1487,270 @@ mod tests {
             out.stats.islands.iter().any(|i| i.migrations_received > 0),
             "no migrations recorded: {:?}",
             out.stats.islands
+        );
+    }
+
+    // ---- Probe pruning: each operator against a probe-everything loop ----
+
+    /// The `first_fit` that scores all sampled hosts in one batch.
+    fn first_fit_probe_all(
+        ev: &Evaluator<'_>,
+        ch: &mut Chromosome,
+        orphans: &mut [KernelId],
+        rng: &mut SmallRng,
+        scratch: &mut OpScratch,
+    ) {
+        orphans.shuffle(rng);
+        for &k in orphans.iter() {
+            let mut idxs: Vec<usize> = (0..ch.group_count()).collect();
+            idxs.shuffle(rng);
+            idxs.truncate(FIRST_FIT_SAMPLE);
+            scratch.bp.clear();
+            for &gi in &idxs {
+                scratch.bp.extend_members(ch.members_at(gi));
+                scratch.bp.push_member(k);
+                scratch.bp.seal();
+            }
+            ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+            match (0..idxs.len()).find(|&c| scratch.bevals[c].feasible()) {
+                Some(c) => ch.push_member(idxs[c], k, scratch.bevals[c]),
+                None => {
+                    ch.push_group(&[k], Some(ev.singleton(k)));
+                }
+            }
+        }
+    }
+
+    /// The split phase that scores both halves of every sample, as
+    /// `(gi, first half, second half, ea, eb)`.
+    #[allow(clippy::type_complexity)]
+    fn best_split_probe_all(
+        ev: &Evaluator<'_>,
+        ch: &Chromosome,
+        rng: &mut SmallRng,
+        scratch: &mut OpScratch,
+    ) -> Option<(usize, Vec<KernelId>, Vec<KernelId>, GroupEval, GroupEval)> {
+        let mut samples = Vec::new();
+        for _ in 0..12 {
+            let gi = rng.gen_range(0..ch.group_count());
+            if ch.members_at(gi).len() < 3 {
+                continue;
+            }
+            let (mut a, mut b) = (Vec::new(), Vec::new());
+            for &m in ch.members_at(gi) {
+                if rng.gen_bool(0.5) {
+                    a.push(m);
+                } else {
+                    b.push(m);
+                }
+            }
+            if !a.is_empty() && !b.is_empty() {
+                samples.push((gi, a, b));
+            }
+        }
+        scratch.bp.clear();
+        for (_, a, b) in &samples {
+            scratch.bp.push(a);
+            scratch.bp.push(b);
+        }
+        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+        let mut best: Option<(f64, usize)> = None;
+        for (x, (gi, ..)) in samples.iter().enumerate() {
+            let (ea, eb) = (scratch.bevals[2 * x], scratch.bevals[2 * x + 1]);
+            if ea.feasible() && eb.feasible() {
+                let gain = ch.eval_at(*gi).unwrap().time_s - ea.time_s - eb.time_s;
+                if gain > 1e-15 && best.is_none_or(|(g, _)| gain > g) {
+                    best = Some((gain, x));
+                }
+            }
+        }
+        best.map(|(_, x)| {
+            let (gi, a, b) = samples.swap_remove(x);
+            (gi, a, b, scratch.bevals[2 * x], scratch.bevals[2 * x + 1])
+        })
+    }
+
+    /// The move probe that scores target and source in one two-lane batch.
+    fn probe_move_probe_all(
+        ev: &Evaluator<'_>,
+        ch: &Chromosome,
+        gi: usize,
+        vi: usize,
+        gj: usize,
+        scratch: &mut OpScratch,
+    ) -> Option<(GroupEval, Option<GroupEval>)> {
+        let src = ch.members_at(gi);
+        scratch.bp.clear();
+        scratch.bp.extend_members(ch.members_at(gj));
+        scratch.bp.push_member(src[vi]);
+        scratch.bp.seal();
+        if src.len() > 1 {
+            scratch.bp.extend_members(&src[..vi]);
+            scratch.bp.extend_members(&src[vi + 1..]);
+            scratch.bp.seal();
+        }
+        ev.group_batch(&mut scratch.bp, &mut scratch.bevals);
+        let target = scratch.bevals[0];
+        let source = (src.len() > 1).then(|| scratch.bevals[1]);
+        (target.feasible() && source.is_none_or(|e| e.feasible())).then_some((target, source))
+    }
+
+    /// Members and evaluation bits of every group, in position order.
+    fn layout(ch: &Chromosome) -> Vec<(Vec<KernelId>, Option<u64>)> {
+        (0..ch.group_count())
+            .map(|p| {
+                let e = ch.eval_at(p).map(|e| e.time_s.to_bits());
+                (ch.members_at(p).to_vec(), e)
+            })
+            .collect()
+    }
+
+    /// Probes issued through `ev`, including structural rejections.
+    fn probes_issued(ev: &Evaluator<'_>) -> u64 {
+        ev.probes() + ev.metrics().get(Counter::StructureRejects)
+    }
+
+    /// Contexts with host syncs and several sharing components, where
+    /// many sampled groups are infeasible.
+    fn pruning_contexts() -> Vec<PlanContext> {
+        let synced = |seed, interval| kfuse_workloads::synth::SynthConfig {
+            kernels: 40,
+            seed,
+            sync_interval: Some(interval),
+            ..Default::default()
+        };
+        [
+            kfuse_workloads::synth::generate(&synced(3, 6)),
+            kfuse_workloads::synth::generate(&synced(8, 11)),
+            kfuse_workloads::by_name("homme").unwrap(),
+            kfuse_workloads::by_name("rk3").unwrap(),
+        ]
+        .iter()
+        .map(|p| prepare(p, &GpuSpec::k20x(), FpPrecision::Double).1)
+        .collect()
+    }
+
+    /// Seeded sealed chromosomes: random constructive merges, then a few
+    /// local-search and mutation steps so some groups grow past three.
+    fn seeded_chromosomes(ev: &Evaluator<'_>, seed: u64) -> Vec<Chromosome> {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut scratch = OpScratch::new();
+        let mut ch = random_chromosome(ev, &mut rng, &mut scratch);
+        let mut out = vec![ch.clone()];
+        for _ in 0..6 {
+            ch = local_search(ev, ch, &mut rng, &mut scratch);
+            ch = mutate(ev, ch, &mut rng, &mut scratch);
+            out.push(ch.clone());
+        }
+        out
+    }
+
+    #[test]
+    fn chunked_first_fit_seats_orphans_like_probe_everything() {
+        let model = ProposedModel::default();
+        let (mut new_probes, mut all_probes) = (0, 0);
+        for ctx in pruning_contexts() {
+            let ev = Evaluator::new(&ctx, &model);
+            for seed in 0..4 {
+                for (ci, ch) in seeded_chromosomes(&ev, seed).into_iter().enumerate() {
+                    for pos in (0..ch.group_count()).filter(|&p| ch.members_at(p).len() >= 2) {
+                        let (new_ev, all_ev) =
+                            (Evaluator::new(&ctx, &model), Evaluator::new(&ctx, &model));
+                        let mut orphans = Vec::new();
+                        let mut base = ch.clone();
+                        base.remove_group_at(pos, &mut orphans);
+                        let (mut a, mut b) = (base.clone(), base);
+                        let (mut oa, mut ob) = (orphans.clone(), orphans);
+                        let mut ra = SmallRng::seed_from_u64(seed ^ pos as u64);
+                        let mut rb = ra.clone();
+                        first_fit(&new_ev, &mut a, &mut oa, &mut ra, &mut OpScratch::new());
+                        first_fit_probe_all(
+                            &all_ev,
+                            &mut b,
+                            &mut ob,
+                            &mut rb,
+                            &mut OpScratch::new(),
+                        );
+                        assert_eq!(
+                            layout(&a),
+                            layout(&b),
+                            "seed {seed} chromosome {ci} group {pos}"
+                        );
+                        assert_eq!(ra, rb, "RNG stream diverged");
+                        new_probes += probes_issued(&new_ev);
+                        all_probes += probes_issued(&all_ev);
+                    }
+                }
+            }
+        }
+        assert!(
+            new_probes < all_probes,
+            "{new_probes} vs {all_probes} probes"
+        );
+    }
+
+    #[test]
+    fn lazy_split_picks_the_probe_everything_winner() {
+        let model = ProposedModel::default();
+        let (mut new_probes, mut all_probes, mut wins) = (0, 0, 0);
+        for ctx in pruning_contexts() {
+            let ev = Evaluator::new(&ctx, &model);
+            let (new_ev, all_ev) = (Evaluator::new(&ctx, &model), Evaluator::new(&ctx, &model));
+            let (mut sa, mut sb) = (OpScratch::new(), OpScratch::new());
+            for seed in 0..4 {
+                for ch in seeded_chromosomes(&ev, seed) {
+                    for draw in 0..8 {
+                        let mut ra = SmallRng::seed_from_u64(1000 * seed + draw);
+                        let mut rb = ra.clone();
+                        let got = best_split(&new_ev, &ch, &mut ra, &mut sa).map(|s| {
+                            let (a, b) = (sa.bp.group(s.ca).to_vec(), sa.bp2.group(s.cb).to_vec());
+                            (s.gi, a, b, s.ea, s.eb)
+                        });
+                        let want = best_split_probe_all(&all_ev, &ch, &mut rb, &mut sb);
+                        wins += usize::from(want.is_some());
+                        assert_eq!(got, want, "seed {seed} draw {draw}");
+                        assert_eq!(ra, rb, "RNG stream diverged");
+                    }
+                }
+            }
+            new_probes += probes_issued(&new_ev);
+            all_probes += probes_issued(&all_ev);
+        }
+        assert!(wins > 0, "some sampled split must win");
+        assert!(
+            new_probes < all_probes,
+            "{new_probes} vs {all_probes} probes"
+        );
+    }
+
+    #[test]
+    fn target_first_move_accepts_what_probe_everything_accepts() {
+        let model = ProposedModel::default();
+        let (mut new_probes, mut all_probes, mut accepted) = (0, 0, 0);
+        for ctx in pruning_contexts() {
+            let ev = Evaluator::new(&ctx, &model);
+            let (new_ev, all_ev) = (Evaluator::new(&ctx, &model), Evaluator::new(&ctx, &model));
+            let (mut sa, mut sb) = (OpScratch::new(), OpScratch::new());
+            for ch in seeded_chromosomes(&ev, 5) {
+                let glen = ch.group_count();
+                for gi in (0..glen).filter(|&p| ch.members_at(p).len() >= 2) {
+                    for vi in 0..ch.members_at(gi).len() {
+                        for gj in (0..glen).filter(|&p| p != gi) {
+                            let got = probe_move(&new_ev, &ch, gi, vi, gj, &mut sa);
+                            let want = probe_move_probe_all(&all_ev, &ch, gi, vi, gj, &mut sb);
+                            assert_eq!(got, want, "move {vi} of group {gi} to {gj}");
+                            accepted += usize::from(got.is_some());
+                        }
+                    }
+                }
+            }
+            new_probes += probes_issued(&new_ev);
+            all_probes += probes_issued(&all_ev);
+        }
+        assert!(accepted > 0, "some move must be accepted");
+        assert!(
+            new_probes < all_probes,
+            "{new_probes} vs {all_probes} probes"
         );
     }
 }

@@ -161,3 +161,52 @@ fn nesting_depth_is_limited_not_a_stack_overflow() {
     let siblings = format!("[{}[]]", "[[]],".repeat(1000));
     assert!(serde_json::from_str::<serde_json::Value>(&siblings).is_ok());
 }
+
+#[test]
+fn wide_object_decodes_in_linear_time() {
+    // 80k distinct keys in one object (~1.2 MB): duplicate detection must
+    // not scan every earlier key per insert.
+    let keys = 80_000;
+    let body: Vec<String> = (0..keys).map(|i| format!("\"key{i:07}\":{i}")).collect();
+    let text = format!("{{{}}}", body.join(","));
+    assert!(text.len() >= 1_200_000);
+    let t0 = std::time::Instant::now();
+    let v: serde_json::Value = serde_json::from_str(&text).unwrap();
+    let took = t0.elapsed();
+    let m = v.as_object().unwrap();
+    assert_eq!(m.len(), keys);
+    assert_eq!(m.get("key0041234").and_then(|v| v.as_u64()), Some(41_234));
+    assert!(
+        took < std::time::Duration::from_secs(1),
+        "{keys}-key object took {took:?}"
+    );
+}
+
+#[test]
+fn repeated_object_key_replaces_its_value_in_place() {
+    // Narrow objects (pairwise key comparison) and wide ones (hash index)
+    // keep one rule: a repeated key takes its last value and keeps the
+    // position of its first occurrence; every other key stays in order.
+    for width in [3usize, 40] {
+        let mut fields: Vec<String> = (0..width).map(|i| format!("\"k{i}\":{i}")).collect();
+        fields.push("\"k1\":\"again\"".into());
+        fields.push("\"k1\":\"last\"".into());
+        fields.push("\"tail\":true".into());
+        let v: serde_json::Value =
+            serde_json::from_str(&format!("{{{}}}", fields.join(","))).unwrap();
+        let m = v.as_object().unwrap();
+        assert_eq!(m.len(), width + 1, "width {width}");
+        let keys: Vec<&str> = m.keys().map(String::as_str).collect();
+        let mut want: Vec<String> = (0..width).map(|i| format!("k{i}")).collect();
+        want.push("tail".into());
+        assert_eq!(keys, want.iter().map(String::as_str).collect::<Vec<_>>());
+        assert_eq!(m.get("k1").and_then(|v| v.as_str()), Some("last"));
+        assert_eq!(m.get("k0").and_then(|v| v.as_u64()), Some(0));
+        // Removing a key keeps the rest findable and in order.
+        let mut m = m.clone();
+        assert_eq!(m.remove("k0").and_then(|v| v.as_u64()), Some(0));
+        assert_eq!(m.get("tail").and_then(|v| v.as_bool()), Some(true));
+        assert_eq!(m.keys().next().map(String::as_str), Some("k1"));
+        assert!(m.get("k0").is_none());
+    }
+}
